@@ -195,7 +195,9 @@ func (t *Topology) PUNeighborTable(radius float64) (*netmodel.CSRTable, error) {
 	}
 	next := tt.clone()
 	next.pu[radius] = tab
-	t.grew(csrBytes(tab))
+	// The carrier-sense tracker memoizes its PU cover index on the table,
+	// so the table's account carries the index too.
+	t.grew(csrBytes(tab) + spectrum.CoverIndexBytes(tab, t.NW.NumNodes()))
 	t.tables.Store(next)
 	return tab, nil
 }

@@ -115,7 +115,7 @@ type NodeStats struct {
 }
 
 type node struct {
-	down bool
+	down  bool
 	queue []Packet
 	head  int
 
@@ -286,13 +286,14 @@ type MAC struct {
 	// instead of strided across the ~200-byte node structs — keeps that
 	// check inside a handful of cache lines.
 	sts []state
-	// busyElig/freeElig mirror sts for the tracker's transition filter:
-	// busyElig[id] is true exactly when SpectrumBusy would act (backoff
-	// running), freeElig[id] when SpectrumFree would (frozen or awaiting).
-	// setState keeps them current; the tracker then skips the ineligible
-	// callbacks, which are no-ops by construction.
-	busyElig []bool
-	freeElig []bool
+	// busyElig/freeElig are bitsets mirroring sts for the tracker's
+	// transition filter: node id's bit is set in busyElig exactly when
+	// SpectrumBusy would act (backoff running), in freeElig when
+	// SpectrumFree would (frozen or awaiting). setState keeps them current;
+	// the tracker then skips the ineligible callbacks, which are no-ops by
+	// construction.
+	busyElig []uint64
+	freeElig []uint64
 	// slab remembers which lane view (if any) backs the arrays above, so
 	// Renew can tell whether prev's backing still matches cfg.Slab.
 	slab *LaneSlab
@@ -423,14 +424,14 @@ func New(cfg Config) (*MAC, error) {
 		}
 	} else {
 		m.sts = make([]state, nn)
-		m.busyElig = make([]bool, nn)
-		m.freeElig = make([]bool, nn)
+		m.busyElig = make([]uint64, spectrum.BitsetWords(nn))
+		m.freeElig = make([]uint64, spectrum.BitsetWords(nn))
 	}
+	clear(m.busyElig)
+	clear(m.freeElig)
 	for i := range m.nodes {
 		n := &m.nodes[i]
 		m.sts[i] = stateIdle
-		m.busyElig[i] = false
-		m.freeElig[i] = false
 		n.cwScale = 1
 		if subtree[i] > 0 {
 			n.queue = make([]Packet, 0, subtree[i])
@@ -528,9 +529,9 @@ func Renew(prev *MAC, cfg Config) (*MAC, error) {
 		n.rxToken = 0
 		n.stats = NodeStats{}
 		m.sts[i] = stateIdle
-		m.busyElig[i] = false
-		m.freeElig[i] = false
 	}
+	clear(m.busyElig)
+	clear(m.freeElig)
 	if err := m.tracker.Renew(cfg.Network, cfg.PUSenseRange, cfg.SUSenseRange, m); err != nil {
 		return nil, err
 	}
@@ -668,8 +669,15 @@ func (m *MAC) ActiveTransmitters() int { return m.nActive }
 // eligibility masks in lockstep. Every state change must go through here.
 func (m *MAC) setState(id int32, st state) {
 	m.sts[id] = st
-	m.busyElig[id] = st == stateBackoffRunning
-	m.freeElig[id] = st == stateBackoffFrozen || st == stateAwaiting
+	w, b := id>>6, uint64(1)<<(uint(id)&63)
+	be, fe := m.busyElig[w]&^b, m.freeElig[w]&^b
+	switch st {
+	case stateBackoffRunning:
+		be |= b
+	case stateBackoffFrozen, stateAwaiting:
+		fe |= b
+	}
+	m.busyElig[w], m.freeElig[w] = be, fe
 }
 
 // startContending draws a fresh backoff for the head-of-queue packet.

@@ -7,20 +7,20 @@ import (
 )
 
 // Slabs packs the per-run mutable hot state of B lanes — each lane's MAC
-// state machine array, its busy/free eligibility masks, and its
-// carrier-sense tracker's busy counters and SU-transmitter flags — into
-// contiguous structure-of-arrays storage indexed [lane*n + node]. When the
-// batch engine interleaves B repetitions of one topology, the per-event
-// state touched across lanes then lives in a handful of dense arrays
-// instead of B independently allocated heaps. Lane views alias the slab;
+// state machine array, its busy/free eligibility bitsets, and its
+// carrier-sense tracker's busy counters and SU-transmitter bitset — into
+// contiguous structure-of-arrays storage, lane l's share of each array one
+// contiguous block. When the batch engine interleaves B repetitions of one
+// topology, the per-event state touched across lanes then lives in a
+// handful of dense arrays instead of B independently allocated heaps. Lane views alias the slab;
 // a Slabs serves one batched run at a time.
 type Slabs struct {
 	lanes, n int
 	sts      []state
-	busyElig []bool
-	freeElig []bool
+	busyElig []uint64
+	freeElig []uint64
 	trkBusy  []int32
-	trkSuTx  []bool
+	trkSuTx  []uint64
 	views    []LaneSlab
 }
 
@@ -28,32 +28,34 @@ type Slabs struct {
 // shared backing, handed to the MAC via Config.Slab.
 type LaneSlab struct {
 	sts      []state
-	busyElig []bool
-	freeElig []bool
+	busyElig []uint64
+	freeElig []uint64
 	tracker  spectrum.SlabLane
 }
 
 // NewSlabs allocates slab storage for `lanes` lanes of n nodes each.
 func NewSlabs(lanes, n int) *Slabs {
+	w := spectrum.BitsetWords(n)
 	s := &Slabs{
 		lanes:    lanes,
 		n:        n,
 		sts:      make([]state, lanes*n),
-		busyElig: make([]bool, lanes*n),
-		freeElig: make([]bool, lanes*n),
+		busyElig: make([]uint64, lanes*w),
+		freeElig: make([]uint64, lanes*w),
 		trkBusy:  make([]int32, lanes*n),
-		trkSuTx:  make([]bool, lanes*n),
+		trkSuTx:  make([]uint64, lanes*w),
 		views:    make([]LaneSlab, lanes),
 	}
 	for l := 0; l < lanes; l++ {
 		lo, hi := l*n, (l+1)*n
+		wlo, whi := l*w, (l+1)*w
 		s.views[l] = LaneSlab{
 			sts:      s.sts[lo:hi:hi],
-			busyElig: s.busyElig[lo:hi:hi],
-			freeElig: s.freeElig[lo:hi:hi],
+			busyElig: s.busyElig[wlo:whi:whi],
+			freeElig: s.freeElig[wlo:whi:whi],
 			tracker: spectrum.SlabLane{
 				Busy: s.trkBusy[lo:hi:hi],
-				SuTx: s.trkSuTx[lo:hi:hi],
+				SuTx: s.trkSuTx[wlo:whi:whi],
 			},
 		}
 	}

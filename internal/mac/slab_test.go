@@ -26,10 +26,12 @@ func TestSlabBackedMatchesFresh(t *testing.T) {
 	for lane := 0; lane < 3; lane++ {
 		for i := range slabs.sts {
 			slabs.sts[i] = stateBackoffFrozen
-			slabs.busyElig[i] = true
-			slabs.freeElig[i] = true
 			slabs.trkBusy[i] = 9
-			slabs.trkSuTx[i] = true
+		}
+		for i := range slabs.busyElig {
+			slabs.busyElig[i] = ^uint64(0)
+			slabs.freeElig[i] = ^uint64(0)
+			slabs.trkSuTx[i] = ^uint64(0)
 		}
 		view := slabs.Lane(lane)
 		backed := run(func(cfg *Config) { cfg.Slab = view })

@@ -2,6 +2,7 @@ package netmodel
 
 import (
 	"fmt"
+	"sync"
 
 	"addcrn/internal/geom"
 )
@@ -21,6 +22,23 @@ type CSRTable struct {
 	// flat[offsets[i]:offsets[i+1]].
 	offsets []int32
 	flat    []int32
+
+	// companion is the structure Companion derives from the table, built
+	// at most once.
+	companionOnce sync.Once
+	companion     any
+}
+
+// Companion returns the structure build derives from the table, running
+// build on the first call only. It lets a consumer that needs an index over
+// the table (the carrier-sense tracker's PU cover index) pay for it once per
+// table, so a provider that shares one table across every run over a
+// deployment shares the derived index too. Concurrent first calls block on
+// one build. Every caller must pass a build function that derives the same
+// structure, and must treat the result as immutable.
+func (t *CSRTable) Companion(build func(*CSRTable) any) any {
+	t.companionOnce.Do(func() { t.companion = build(t) })
+	return t.companion
 }
 
 // NumRows returns the number of sources the table was built over.

@@ -30,12 +30,14 @@ type Source struct {
 	// allocating a fresh source.
 	lf *lfSource
 
-	// geomQ/geomLogQ memoize the last Geometric denominator: the PU
-	// activity processes draw millions of geometric samples with the same
-	// one or two success probabilities, and ln(q) is half the cost of a
-	// sample. Reusing the cached value is bit-identical to recomputing it.
-	geomQ    float64
-	geomLogQ float64
+	// geomQ/geomLogQ memoize the two most recently computed Geometric
+	// denominators, newest first: a PU activity process alternates between two
+	// success probabilities (p_t for idle runs, 1-p_t for active ones) on
+	// one stream, and ln(q) is half the cost of a sample. A single entry
+	// would miss on every alternation. Reusing a cached value is
+	// bit-identical to recomputing it.
+	geomQ    [2]float64
+	geomLogQ [2]float64
 }
 
 // New returns a Source seeded with seed.
@@ -186,11 +188,18 @@ func (s *Source) Geometric(p float64) int64 {
 		u = s.rnd.Float64()
 	}
 	q := 1 - p
-	if q != s.geomQ {
-		s.geomQ = q
-		s.geomLogQ = math.Log(q)
+	var logQ float64
+	switch q {
+	case s.geomQ[0]:
+		logQ = s.geomLogQ[0]
+	case s.geomQ[1]:
+		logQ = s.geomLogQ[1]
+	default:
+		logQ = math.Log(q)
+		s.geomQ[1], s.geomLogQ[1] = s.geomQ[0], s.geomLogQ[0]
+		s.geomQ[0], s.geomLogQ[0] = q, logQ
 	}
-	k := int64(math.Log(u) / s.geomLogQ)
+	k := int64(math.Log(u) / logQ)
 	if k < 0 {
 		k = 0
 	}

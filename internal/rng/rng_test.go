@@ -187,6 +187,36 @@ func TestGeometricMatchesBernoulliRuns(t *testing.T) {
 	}
 }
 
+// TestGeometricMemoAlternating drives one source the way a PU activity
+// process does — alternating Geometric(p) and Geometric(1-p), with an
+// occasional third probability evicting a memo entry — and requires every
+// sample to equal the inverse transform recomputed from scratch (a fresh
+// ln(q) per draw) on an identically seeded twin stream.
+func TestGeometricMemoAlternating(t *testing.T) {
+	const seed = 11
+	src, twin := New(seed), New(seed)
+	for _, pt := range []float64{0.1, 0.3, 0.5, 0.9} {
+		for i := 0; i < 2000; i++ {
+			p := pt
+			switch {
+			case i%97 == 0:
+				p = 0.77
+			case i%2 == 1:
+				p = 1 - pt
+			}
+			got := src.Geometric(p)
+			u := twin.Float64()
+			for u == 0 {
+				u = twin.Float64()
+			}
+			want := max(int64(logQuotient(u, 1-p)), 0)
+			if got != want {
+				t.Fatalf("p_t=%v draw %d: Geometric(%v) = %d, fresh transform gives %d", pt, i, p, got, want)
+			}
+		}
+	}
+}
+
 func TestPerm(t *testing.T) {
 	src := New(5)
 	perm := src.Perm(10)

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkScheduleAndRun measures raw event throughput: schedule and drain
 // 1024 events per iteration.
@@ -96,3 +99,51 @@ func benchLanes(b *testing.B, lanes int) {
 func BenchmarkLaneStep1(b *testing.B)  { benchLanes(b, 1) }
 func BenchmarkLaneStep4(b *testing.B)  { benchLanes(b, 4) }
 func BenchmarkLaneStep16(b *testing.B) { benchLanes(b, 16) }
+
+// BenchmarkSideCalendar measures the recurring-timer pattern of the exact
+// PU model — each of N timers re-arms itself with a pseudo-random delay
+// every time it fires — on a side calendar and, for contrast, through the
+// event heap with After. N=4 is the fig. 6c operating point, N=53 the PU
+// count of BenchmarkCollectN2000. Both run beside a population of 128
+// pending heap events that never fire, standing in for the per-node MAC
+// timers a collection keeps queued. One op is one firing.
+func BenchmarkSideCalendar(b *testing.B) {
+	run := func(b *testing.B, n int, side bool) {
+		e := New()
+		for i := 0; i < 128; i++ {
+			e.At(MaxTime-Time(i), func(Time) {})
+		}
+		fired, x := 0, uint32(1)
+		next := func() Time {
+			x = x*1664525 + 1013904223
+			return Time(1 + x>>24)
+		}
+		if side {
+			var cal SideCalendar
+			cal = e.NewSideCalendar(n, func(slot int32, now Time) {
+				fired++
+				cal.Arm(slot, next())
+			})
+			for i := range int32(n) {
+				cal.Arm(i, Time(i))
+			}
+		} else {
+			fns := make([]EventFunc, n)
+			for i := range fns {
+				fns[i] = func(now Time) {
+					fired++
+					e.After(next(), fns[i])
+				}
+				e.After(Time(i), fns[i])
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for fired < b.N && e.Step() {
+		}
+	}
+	for _, n := range []int{4, 53} {
+		b.Run(fmt.Sprintf("side-N%d", n), func(b *testing.B) { run(b, n, true) })
+		b.Run(fmt.Sprintf("heap-N%d", n), func(b *testing.B) { run(b, n, false) })
+	}
+}

@@ -34,6 +34,23 @@
 // private engine, which is what makes batched execution bit-identical to
 // sequential runs (see internal/core's lane equivalence tests). The default
 // single-lane mode bypasses all lane bookkeeping.
+//
+// # Side calendars
+//
+// A fixed population of recurring timers — one activity process per primary
+// user, each re-arming itself every time it fires — would otherwise flow
+// through the arena and the event heap, paying a slot allocation, a push and
+// a pop per firing. NewSideCalendar gives the current lane a side calendar
+// instead: one slot per timer, kept off the event heap in a small indexed
+// heap of its own, with re-arming a slot costing O(log slots) and no arena
+// traffic. A slot's key is (at, seq) with seq drawn from the same counter as
+// At, and every step takes the smaller of the lane's heap top and calendar
+// top. Keys never collide across the two structures, so the global
+// (time, sequence) pop order — and with it every tie-break and every
+// simulation result — is exactly what the same timers scheduled with After
+// would produce. Armed slots count as pending events (Pending, LanePending)
+// and as executed steps when they fire; StopLane disarms a lane's calendar
+// and Reset removes every calendar.
 package sim
 
 import (
@@ -162,7 +179,26 @@ type laneQ struct {
 	live  int32
 	now   Time
 	steps uint64
+	side  sideQ
 }
+
+// head returns the lane's earliest key across its event heap (a lazily
+// canceled top included) and its side calendar; headEmpty when both are
+// empty.
+func (l *laneQ) head() hkey {
+	k := headEmpty
+	if len(l.keys) > 0 {
+		k = l.keys[0]
+	}
+	if len(l.side.keys) > 0 && l.side.keys[0].less(k) {
+		k = l.side.keys[0]
+	}
+	return k
+}
+
+// empty reports whether the lane has nothing queued, dead heap entries
+// included.
+func (l *laneQ) empty() bool { return len(l.heap) == 0 && len(l.side.heap) == 0 }
 
 // Engine is the event queue and virtual clock.
 type Engine struct {
@@ -214,10 +250,11 @@ func NewWithCapacity(n int) *Engine {
 }
 
 // Reset returns the engine to its initial state — clock at zero, empty
-// queues, single-lane mode, no interrupt poll — while keeping the arena,
-// free-list, and heap backing arrays for the next run. Every arena slot's
-// generation is bumped, so Timer handles issued before the Reset go
-// permanently inert instead of aliasing events scheduled after it. The free
+// queues, single-lane mode, no interrupt poll, no side calendars — while
+// keeping the arena, free-list, and heap backing arrays for the next run.
+// Every arena slot's generation is bumped, so Timer handles issued before
+// the Reset go permanently inert instead of aliasing events scheduled after
+// it; SideCalendar handles issued before it panic if used. The free
 // list is rebuilt so slots are handed out in ascending index order, exactly
 // as a fresh engine appends them; since event order depends only on
 // (time, sequence), a reset engine is observationally identical to one
@@ -239,6 +276,7 @@ func (e *Engine) Reset() {
 		l.live = 0
 		l.now = 0
 		l.steps = 0
+		l.side.uninstall()
 	}
 	e.nlanes = 1
 	e.curLane = 0
@@ -300,9 +338,10 @@ func (e *Engine) SetLane(lane int) {
 }
 
 // StopLane discards every pending event of the given lane (releasing their
-// arena slots and invalidating their timers) so a finished lane's re-arming
-// processes — PU activity toggles never stop on their own — cannot hold the
-// batch loop open. Other lanes are unaffected.
+// arena slots and invalidating their timers) and disarms every slot of its
+// side calendar, so a finished lane's re-arming processes — PU activity
+// toggles never stop on their own — cannot hold the batch loop open. Other
+// lanes are unaffected.
 func (e *Engine) StopLane(lane int) {
 	l := &e.lanes[lane]
 	for _, idx := range l.heap {
@@ -311,6 +350,7 @@ func (e *Engine) StopLane(lane int) {
 	l.heap = l.heap[:0]
 	l.keys = l.keys[:0]
 	l.live = 0
+	l.side.disarmAll()
 }
 
 // LaneNow returns the time of the lane's most recently executed event.
@@ -440,42 +480,64 @@ func (e *Engine) StepLane() (int32, bool) {
 		var lane int32
 		if e.nlanes == 1 {
 			lane = 0
-			if len(e.lanes[0].heap) == 0 {
+			if e.lanes[0].empty() {
 				return -1, false
 			}
 		} else {
 			lane = -1
 			best := headEmpty
 			for i := range e.lanes[:e.nlanes] {
-				if k := e.lanes[i].keys; len(k) > 0 && k[0].less(best) {
-					lane, best = int32(i), k[0]
+				if k := e.lanes[i].head(); k.less(best) {
+					lane, best = int32(i), k
 				}
 			}
 			if lane < 0 {
 				return -1, false
 			}
 		}
-		l := &e.lanes[lane]
-		idx := e.heapPop(l)
-		en := &e.arena[idx]
-		fn := en.fn
-		at := en.at
-		// Recycle the slot before running the body: the event is no longer
-		// pending, its Timer handles must read inactive, and the body is free
-		// to reuse the slot for the events it schedules.
-		e.release(idx)
-		if fn == nil {
-			continue // lazily canceled; discard and rescan
+		if e.popHead(lane) {
+			return lane, true
 		}
-		l.live--
-		e.now = at
-		e.nsteps++
-		l.now = at
-		l.steps++
-		e.curLane = lane
-		fn(at)
-		return lane, true
 	}
+}
+
+// popHead removes the earliest entry of lane — the top of its event heap or
+// of its side calendar, whichever key is smaller — and runs it. It returns
+// false, having run nothing, when the entry was a lazily canceled event. The
+// lane must not be empty.
+func (e *Engine) popHead(lane int32) bool {
+	l := &e.lanes[lane]
+	if s := &l.side; len(s.keys) > 0 && (len(l.keys) == 0 || s.keys[0].less(l.keys[0])) {
+		at := s.keys[0].at
+		e.enter(l, lane, at)
+		s.fire(at)
+		return true
+	}
+	idx := e.heapPop(l)
+	en := &e.arena[idx]
+	fn := en.fn
+	at := en.at
+	// Recycle the slot before running the body: the event is no longer
+	// pending, its Timer handles must read inactive, and the body is free to
+	// reuse the slot for the events it schedules.
+	e.release(idx)
+	if fn == nil {
+		return false // lazily canceled; discard
+	}
+	e.enter(l, lane, at)
+	fn(at)
+	return true
+}
+
+// enter advances the clocks and step counters for an event of lane firing at
+// at, and makes lane the one events scheduled by its body inherit.
+func (e *Engine) enter(l *laneQ, lane int32, at Time) {
+	l.live--
+	e.now = at
+	e.nsteps++
+	l.now = at
+	l.steps++
+	e.curLane = lane
 }
 
 // NextLane returns the lane holding the globally earliest pending event, or
@@ -486,7 +548,7 @@ func (e *Engine) StepLane() (int32, bool) {
 // any lane's own event order.
 func (e *Engine) NextLane() int32 {
 	if e.nlanes == 1 {
-		if len(e.lanes[0].heap) == 0 {
+		if e.lanes[0].empty() {
 			return -1
 		}
 		return 0
@@ -494,8 +556,8 @@ func (e *Engine) NextLane() int32 {
 	lane := int32(-1)
 	best := headEmpty
 	for i := range e.lanes[:e.nlanes] {
-		if k := e.lanes[i].keys; len(k) > 0 && k[0].less(best) {
-			lane, best = int32(i), k[0]
+		if k := e.lanes[i].head(); k.less(best) {
+			lane, best = int32(i), k
 		}
 	}
 	return lane
@@ -520,27 +582,13 @@ func (e *Engine) StepInLane(lane int32) bool {
 		}
 	}
 	l := &e.lanes[lane]
-	for {
-		if len(l.heap) == 0 {
-			return false
+	for !l.empty() {
+		if e.popHead(lane) {
+			return true
 		}
-		idx := e.heapPop(l)
-		en := &e.arena[idx]
-		fn := en.fn
-		at := en.at
-		e.release(idx)
-		if fn == nil {
-			continue // lazily canceled; discard and retry within the lane
-		}
-		l.live--
-		e.now = at
-		e.nsteps++
-		l.now = at
-		l.steps++
-		e.curLane = lane
-		fn(at)
-		return true
+		// lazily canceled; discard and retry within the lane
 	}
+	return false
 }
 
 // RunUntil executes events until the queue is exhausted, an interrupt poll
@@ -574,24 +622,15 @@ func (e *Engine) Run() uint64 {
 // executing anything. It discards lazily canceled entries sitting on heap
 // tops on the way, so the reported time is one an actual event will fire at.
 func (e *Engine) peek() (Time, bool) {
-	if e.nlanes == 1 {
-		l := &e.lanes[0]
-		e.dropDead(l)
-		if len(l.keys) == 0 {
-			return 0, false
-		}
-		return l.keys[0].at, true
-	}
 	best := headEmpty
-	found := false
 	for i := range e.lanes[:e.nlanes] {
 		l := &e.lanes[i]
 		e.dropDead(l)
-		if len(l.keys) > 0 && l.keys[0].less(best) {
-			best, found = l.keys[0], true
+		if k := l.head(); k.less(best) {
+			best = k
 		}
 	}
-	if !found {
+	if best == headEmpty {
 		return 0, false
 	}
 	return best.at, true
@@ -630,7 +669,6 @@ func (e *Engine) heapPop(l *laneQ) int32 {
 	}
 	return top
 }
-
 
 // Both sifts move a hole instead of swapping: the displaced element's key is
 // loaded once into registers, ancestors/children shift into the hole, and the

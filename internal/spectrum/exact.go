@@ -28,11 +28,12 @@ type ExactModel struct {
 	receivers []geom.Point
 	numActive int
 
-	// eng and toggles are bound at Start: toggles[i] flips PU i's state and
-	// re-arms itself, so the steady-state activity process schedules events
-	// without allocating a closure per toggle.
-	eng     *sim.Engine
-	toggles []sim.EventFunc
+	// toggleFn is the toggle method bound once per model; Start installs it
+	// as the body of a side calendar with one slot per PU, and every toggle
+	// re-arms its own slot, so the steady-state activity process schedules
+	// events without touching the event heap or allocating.
+	toggleFn func(i int32, now sim.Time)
+	cal      sim.SideCalendar
 
 	monitor   *RxMonitor
 	monTokens []int64
@@ -52,12 +53,13 @@ func NewExactModel(nw *netmodel.Network, tracker *Tracker, src *rng.Source) *Exa
 		active:    make([]bool, len(nw.PU)),
 		receivers: make([]geom.Point, len(nw.PU)),
 	}
+	m.toggleFn = m.toggle
 	m.drawReceivers()
 	return m
 }
 
 // RenewExactModel rebuilds prev for a new run, reusing its allocations —
-// the activity masks, receiver points, toggle closures, and both child
+// the activity masks, receiver points, toggle closure, and both child
 // randomness sources — whenever prev exists and serves the same PU count;
 // otherwise it falls back to NewExactModel. A renewed model is
 // observationally identical to a fresh one.
@@ -73,7 +75,7 @@ func RenewExactModel(prev *ExactModel, nw *netmodel.Network, tracker *Tracker, s
 	m.slot = sim.FromDuration(nw.Params.Slot)
 	clear(m.active)
 	m.numActive = 0
-	m.eng = nil
+	m.cal = sim.SideCalendar{}
 	m.monitor = nil
 	m.busy = busyIntegral{}
 	m.drawReceivers()
@@ -99,23 +101,10 @@ func (m *ExactModel) AttachMonitor(mon *RxMonitor) {
 	}
 }
 
-// Start samples each PU's initial state and schedules its first toggle.
+// Start samples each PU's initial state and schedules its first toggle on a
+// side calendar it installs on the engine's current lane.
 func (m *ExactModel) Start(eng *sim.Engine) {
-	m.eng = eng
-	if len(m.toggles) != len(m.nw.PU) {
-		m.toggles = make([]sim.EventFunc, len(m.nw.PU))
-		for i := range m.toggles {
-			i := int32(i)
-			m.toggles[i] = func(now sim.Time) {
-				if m.active[i] {
-					m.deactivate(i, now)
-				} else {
-					m.activate(i, now)
-				}
-				m.scheduleToggle(i)
-			}
-		}
-	}
+	m.cal = eng.NewSideCalendar(len(m.nw.PU), m.toggleFn)
 	pt := m.nw.Params.ActiveProb
 	for i := range m.nw.PU {
 		if pt <= 0 {
@@ -176,6 +165,16 @@ func (m *ExactModel) deactivate(i int32, now sim.Time) {
 	m.tracker.RemovePUTransmitter(i, now)
 }
 
+// toggle flips PU i's state and arms its next toggle.
+func (m *ExactModel) toggle(i int32, now sim.Time) {
+	if m.active[i] {
+		m.deactivate(i, now)
+	} else {
+		m.activate(i, now)
+	}
+	m.scheduleToggle(i)
+}
+
 // scheduleToggle arms PU i's next state change after the remaining run of
 // identical slots.
 func (m *ExactModel) scheduleToggle(i int32) {
@@ -188,5 +187,5 @@ func (m *ExactModel) scheduleToggle(i int32) {
 	} else {
 		runSlots = 1 + m.src.Geometric(pt)
 	}
-	m.eng.After(sim.Time(runSlots)*m.slot, m.toggles[i])
+	m.cal.Arm(i, sim.Time(runSlots)*m.slot)
 }
